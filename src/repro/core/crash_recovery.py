@@ -26,6 +26,7 @@ O(analysis + one session chain).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -740,27 +741,64 @@ def _session_heat(msp: "MiddlewareServer", session_id: str) -> int:
     return counter.value if counter is not None else 0
 
 
-def _next_lazy_session(msp: "MiddlewareServer"):
-    """The hottest unclaimed lazy-pending session (deterministic:
-    strictly greater heat wins, ties break to the smallest id)."""
-    best = None
-    best_heat = -1
-    for session_id in sorted(msp.sessions):
-        session = msp.sessions[session_id]
-        if not session.lazy_pending:
-            continue
-        heat = _session_heat(msp, session_id)
-        if heat > best_heat:
-            best, best_heat = session, heat
-    return best
+class PumpQueue:
+    """One restart's lazy-pump claim order: hottest first, ties to the
+    smallest session id (DESIGN.md §15).
+
+    A heap of ``(-heat, session_id)`` built once when the pump spawns
+    and shared by its workers, so a claim costs O(log n) instead of a
+    scan over every session.  Entries are checked lazily on pop: one
+    whose session is no longer ``lazy_pending`` is dropped, as is one
+    whose stored heat is below the session's current heat.  Heat only
+    rises in ``MiddlewareServer._worker``, which calls :meth:`bump` to
+    push a fresh entry — a check at the top of the heap cannot see a
+    key that only got smaller.
+    """
+
+    __slots__ = ("_msp", "_heap")
+
+    def __init__(self, msp: "MiddlewareServer"):
+        self._msp = msp
+        self._heap = [
+            (-_session_heat(msp, session_id), session_id)
+            for session_id, session in msp.sessions.items()
+            if session.lazy_pending
+        ]
+        heapq.heapify(self._heap)
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def bump(self, session_id: str) -> None:
+        """Re-queue a pending session whose heat just rose."""
+        session = self._msp.sessions.get(session_id)
+        if session is not None and session.lazy_pending:
+            heapq.heappush(
+                self._heap, (-_session_heat(self._msp, session_id), session_id)
+            )
+
+    def pop(self):
+        """The hottest unclaimed lazy-pending session, or ``None``."""
+        heap = self._heap
+        sessions = self._msp.sessions
+        while heap:
+            neg_heat, session_id = heapq.heappop(heap)
+            session = sessions.get(session_id)
+            if (
+                session is not None
+                and session.lazy_pending
+                and -neg_heat >= _session_heat(self._msp, session_id)
+            ):
+                return session
+        return None
 
 
-def _recovery_pump(msp: "MiddlewareServer"):
+def _recovery_pump(msp: "MiddlewareServer", queue: PumpQueue):
     """One background pump worker: claim and replay sessions until none
     remain.  Picking and claiming are synchronous (no yield between
     them), so concurrent workers never double-replay a session."""
     while True:
-        session = _next_lazy_session(msp)
+        session = queue.pop()
         if session is None:
             return
         msp.stats.pump_recoveries += 1
@@ -771,9 +809,9 @@ def _recovery_pump(msp: "MiddlewareServer"):
 def spawn_recovery_pump(msp: "MiddlewareServer") -> None:
     """Start the background drain under the configured concurrency
     budget (lazy mode step 5)."""
-    pending = sum(1 for s in msp.sessions.values() if s.lazy_pending)
-    workers = min(max(1, msp.config.recovery_pump_concurrency), pending)
+    queue = msp.pump_queue = PumpQueue(msp)
+    workers = min(max(1, msp.config.recovery_pump_concurrency), len(queue))
     for i in range(workers):
         msp.sim.spawn(
-            _recovery_pump(msp), name=f"{msp.name}.recpump{i}", group=msp.group
+            _recovery_pump(msp, queue), name=f"{msp.name}.recpump{i}", group=msp.group
         )

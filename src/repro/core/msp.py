@@ -27,7 +27,7 @@ from repro.core.checkpoint import (
 )
 from repro.core.config import LoggingMode, RecoveryConfig
 from repro.core.context import BUSY_RETRY_SLEEP_MS, NormalContext, _await_reply
-from repro.core.crash_recovery import recover_msp, recover_session
+from repro.core.crash_recovery import PumpQueue, recover_msp, recover_session
 from repro.core.domain import ServiceDomainConfig
 from repro.core.dv import RecoveryTable
 from repro.core.errors import FlushFailed, OrphanDetected, SessionProtocolError
@@ -167,6 +167,9 @@ class MiddlewareServer:
         #: backward-chain links through the log and recover sessions on
         #: demand after a crash.  Cached — the mode is fixed per run.
         self.lazy_mode = self.config.recovery_mode == "lazy"
+        #: The current lazy restart's pump claim order (``None`` outside
+        #: a lazy drain); request heat re-keys its pending sessions.
+        self.pump_queue: Optional[PumpQueue] = None
         #: Command/value adaptive logging (DESIGN.md §16), cached like
         #: ``lazy_mode``: ``command_mode`` fixes every session to
         #: command logging; ``adaptive_mode`` lets the per-session
@@ -343,6 +346,7 @@ class MiddlewareServer:
             store.crash()
         self.node.unbind_all()
         self.sessions = {}
+        self.pump_queue = None
         self.shared = {}
         self.log = None
         self.group = None
@@ -500,6 +504,8 @@ class MiddlewareServer:
                 # Per-session request heat — the lazy recovery pump's
                 # hot-first priority signal (DESIGN.md §15).
                 tracer.metrics.inc(f"heat.session.{request.session_id}")
+                if self.pump_queue is not None:
+                    self.pump_queue.bump(request.session_id)
                 span = tracer.span(
                     "msp.request",
                     owner=self.name,

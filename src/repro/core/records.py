@@ -23,9 +23,11 @@ from repro.wire import Decoder, Encoder
 from repro.wire.codec import (
     Buffer,
     CodecError,
+    encode_text_uint_map,
     encode_uvarint,
     read_bytes,
     read_text_interned,
+    read_text_uint_map,
     read_uvarint,
 )
 
@@ -58,9 +60,11 @@ LOGGING_MODE_NAMES = {code: name for name, code in LOGGING_MODE_CODES.items()}
 # The high-frequency record kinds (request, reply, SV read/write/update
 # and filler) bypass the chained Encoder/Decoder with precompiled
 # ``struct.Struct`` packers and the module-level varint fast paths of
-# :mod:`repro.wire.codec`.  The byte format is *identical* to the
-# general path — asserted by the golden-bytes tests — only the Python
-# overhead (one Encoder object plus a method call per field) is gone.
+# :mod:`repro.wire.codec`; so does the MSP checkpoint, whose maps hold
+# one entry per live session (``encode_text_uint_map``).  The byte
+# format is *identical* to the general path — asserted by the
+# golden-bytes tests — only the Python overhead (one Encoder object plus
+# a method call per field) is gone.
 
 _PACK_KIND_LEN = struct.Struct("<BB").pack
 _FALSE = b"\x00"
@@ -525,21 +529,18 @@ class MspCheckpointRecord:
             enc.uint(len(epochs))
             for ep in sorted(epochs):
                 enc.uint(ep).uint(epochs[ep])
-        enc.uint(len(self.session_start_lsns))
-        for sid in sorted(self.session_start_lsns):
-            enc.text(sid).uint(self.session_start_lsns[sid])
-        enc.uint(len(self.sv_start_lsns))
-        for name in sorted(self.sv_start_lsns):
-            enc.text(name).uint(self.sv_start_lsns[name])
+        # The per-session maps grow with the session count: one pass each.
+        parts = [
+            enc.finish(),
+            encode_text_uint_map(self.session_start_lsns),
+            encode_text_uint_map(self.sv_start_lsns),
+        ]
         if self.partition_ends or self.session_chain_heads:
-            enc.uint(len(self.partition_ends))
-            for end in self.partition_ends:
-                enc.uint(end)
+            parts.append(encode_uvarint(len(self.partition_ends)))
+            parts.extend(encode_uvarint(end) for end in self.partition_ends)
         if self.session_chain_heads:
-            enc.uint(len(self.session_chain_heads))
-            for sid in sorted(self.session_chain_heads):
-                enc.text(sid).uint(self.session_chain_heads[sid])
-        return enc.finish()
+            parts.append(encode_text_uint_map(self.session_chain_heads))
+        return b"".join(parts)
 
 
 @dataclass
@@ -725,6 +726,37 @@ def _decode_sv_update(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
     )
 
 
+def _decode_msp_checkpoint(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
+    # One copy of this record's payload serves all three map reads.
+    buf = bytes(buf)
+    epoch, pos = read_uvarint(buf, pos)
+    count, pos = read_uvarint(buf, pos)
+    recovered: dict[str, dict[int, int]] = {}
+    for _ in range(count):
+        msp, pos = read_text_interned(buf, pos)
+        epochs, pos = read_uvarint(buf, pos)
+        known: dict[int, int] = {}
+        for _ in range(epochs):
+            ep, pos = read_uvarint(buf, pos)
+            known[ep], pos = read_uvarint(buf, pos)
+        recovered[msp] = known
+    session_start, pos = read_text_uint_map(buf, pos)
+    sv_start, pos = read_text_uint_map(buf, pos)
+    ends: list[int] = []
+    chain_heads: dict[str, int] = {}
+    if pos < len(buf):
+        count, pos = read_uvarint(buf, pos)
+        for _ in range(count):
+            end, pos = read_uvarint(buf, pos)
+            ends.append(end)
+        if pos < len(buf):
+            chain_heads, pos = read_text_uint_map(buf, pos)
+    record = MspCheckpointRecord(
+        recovered, session_start, sv_start, epoch, tuple(ends), chain_heads
+    )
+    return record, pos
+
+
 def _decode_filler(buf: Buffer, pos: int) -> tuple[LogRecord, int]:
     # Skip the padding without materializing it — fillers dominate the
     # log volume when record_overhead_bytes is calibrated to the paper.
@@ -743,6 +775,7 @@ _FAST_DECODERS: dict[int, Callable[[Buffer, int], tuple[LogRecord, int]]] = {
     KIND_SV_WRITE: _decode_sv_write,
     KIND_SV_UPDATE: _decode_sv_update,
     KIND_FILLER: _decode_filler,
+    KIND_MSP_CHECKPOINT: _decode_msp_checkpoint,
 }
 
 

@@ -42,22 +42,22 @@ class SimTimeoutError(SimError):
 
 
 class _Handle:
-    """A cancelable scheduled callback."""
+    """A cancelable scheduled callback.
 
-    __slots__ = ("time", "seq", "callback", "cancelled")
+    The heap holds ``(time, seq, handle)`` entries: ``seq`` is unique,
+    so ordering never reaches the handle and every comparison stays in
+    C.
+    """
 
-    def __init__(self, time: float, seq: int, callback: Callable[[], None]):
-        self.time = time
-        self.seq = seq
+    __slots__ = ("callback", "cancelled")
+
+    def __init__(self, callback: Callable[[], None]):
         self.callback = callback
         self.cancelled = False
 
     def cancel(self) -> None:
         """Prevent the callback from running (idempotent)."""
         self.cancelled = True
-
-    def __lt__(self, other: "_Handle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
 
 class Event:
@@ -319,7 +319,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[_Handle] = []
+        self._heap: list[tuple[float, int, _Handle]] = []
         self._seq = itertools.count()
         self._process_count = itertools.count()
         #: Callbacks executed so far — the per-shard work measure the
@@ -376,8 +376,8 @@ class Simulator:
         """Schedule ``callback`` to run at absolute simulated ``time``."""
         if time < self._now:
             raise SimError(f"cannot schedule in the past ({time} < {self._now})")
-        handle = _Handle(time, next(self._seq), callback)
-        heapq.heappush(self._heap, handle)
+        handle = _Handle(callback)
+        heapq.heappush(self._heap, (time, next(self._seq), handle))
         return handle
 
     def call_later(self, delay: float, callback: Callable[[], None]) -> _Handle:
@@ -421,10 +421,10 @@ class Simulator:
     def step(self) -> bool:
         """Run the next scheduled callback.  Returns False when idle."""
         while self._heap:
-            handle = heapq.heappop(self._heap)
+            time, _, handle = heapq.heappop(self._heap)
             if handle.cancelled:
                 continue
-            self._now = handle.time
+            self._now = time
             self.steps += 1
             handle.callback()
             return True
@@ -437,11 +437,11 @@ class Simulator:
                 pass
             return
         while self._heap:
-            head = self._heap[0]
+            time, _, head = self._heap[0]
             if head.cancelled:
                 heapq.heappop(self._heap)
                 continue
-            if head.time > until:
+            if time > until:
                 break
             self.step()
         self._now = max(self._now, until)

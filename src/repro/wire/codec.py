@@ -127,6 +127,91 @@ def read_text_interned(buf: Buffer, pos: int) -> tuple[str, int]:
     return cached, end
 
 
+#: Length-prefixed UTF-8 bytes of map keys, reused across the MSP
+#: checkpoints that list every live session; dropped wholesale when
+#: full, like the intern table.
+_TEXT_FIELDS: dict[str, bytes] = {}
+_TEXT_FIELDS_MAX = 8192
+
+
+def encode_text_uint_map(mapping: dict[str, int]) -> bytes:
+    """Encode a ``str -> uint`` map in one pass.
+
+    The bytes equal the chained form ``Encoder().uint(len(mapping))``
+    followed by ``.text(key).uint(value)`` per key in sorted order.
+    Values below 2**28 are written inline.
+    """
+    out = bytearray(encode_uvarint(len(mapping)))
+    fields = _TEXT_FIELDS
+    for key in sorted(mapping):
+        prefixed = fields.get(key)
+        if prefixed is None:
+            if len(fields) >= _TEXT_FIELDS_MAX:
+                fields.clear()
+            raw = key.encode("utf-8")
+            prefixed = fields[key] = encode_uvarint(len(raw)) + raw
+        out += prefixed
+        value = mapping[key]
+        if value < 0x80:
+            out.append(value)  # ValueError on negatives, like encode_uvarint
+        elif value < 0x4000:
+            out.append(value & 0x7F | 0x80)
+            out.append(value >> 7)
+        elif value < 0x200000:
+            out.append(value & 0x7F | 0x80)
+            out.append(value >> 7 & 0x7F | 0x80)
+            out.append(value >> 14)
+        elif value < 0x10000000:
+            out.append(value & 0x7F | 0x80)
+            out.append(value >> 7 & 0x7F | 0x80)
+            out.append(value >> 14 & 0x7F | 0x80)
+            out.append(value >> 21)
+        else:
+            out += encode_uvarint(value)
+    return bytes(out)
+
+
+def read_text_uint_map(buf: Buffer, pos: int) -> tuple[dict[str, int], int]:
+    """Parse a map written by :func:`encode_text_uint_map`; returns
+    ``(mapping, next_pos)``.  Keys share the :func:`read_text_interned`
+    table.  A view is copied to bytes once (callers pass one record's
+    payload), so keys slice out without a copy per key."""
+    count, pos = read_uvarint(buf, pos)
+    if not isinstance(buf, bytes):
+        buf = bytes(buf)
+    size = len(buf)
+    table = _TEXT_INTERN
+    out: dict[str, int] = {}
+    try:
+        for _ in range(count):
+            length = buf[pos]
+            if length < 0x80:
+                pos += 1
+            else:
+                length, pos = read_uvarint(buf, pos)
+            end = pos + length
+            if end > size:
+                raise CodecError(f"truncated text field (need {length}, have {size - pos})")
+            raw = buf[pos:end]
+            key = table.get(raw)
+            if key is None:
+                if len(table) >= _TEXT_INTERN_MAX:
+                    table.clear()
+                key = table[raw] = raw.decode("utf-8")
+            value = buf[end]
+            pos = end + 1
+            if value >= 0x80:
+                byte = buf[pos]
+                value = value & 0x7F | (byte & 0x7F) << 7
+                pos += 1
+                if byte >= 0x80:
+                    value, pos = read_uvarint(buf, end)
+            out[key] = value
+    except IndexError:
+        raise CodecError("truncated varint") from None
+    return out, pos
+
+
 class Encoder:
     """Builds a byte string field by field."""
 
